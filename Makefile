@@ -25,9 +25,10 @@ test-race:
 ## chaos: the query-lifecycle chaos suite under the race detector, repeated
 ## — concurrent sessions run the Figure-9 mix while injected storage faults,
 ## latency, cancellations and deadlines fire over a bounded seed list
-## ({1,2,3} plus the no-injector cancellation run); survivors must be
-## bit-identical to the sequential reference and fault/hit/gauge accounting
-## must balance exactly at quiesce. Already part of `make test`/`test-race`
+## ({1,2,3}, each also without an injector so cancellations land between
+## the unbounded pool's batched settles, plus the no-injector cancellation
+## run); survivors must be bit-identical to the sequential reference and
+## fault/hit/gauge accounting must balance exactly at quiesce. Already part of `make test`/`test-race`
 ## once; this target reruns it with fresh schedules for flake hunting.
 chaos:
 	$(GO) test ./internal/server -race -count=2 \

@@ -912,7 +912,23 @@ func BenchmarkAblationProfile(b *testing.B) {
 //
 // shared/g<N>: N goroutines re-touch the same small hot page set — every
 // touch hits the same few stripes, the worst-case contention floor.
+//
+// positions/{per-touch,batched}: one op gathers a 2^16-entry shuffled
+// position list over a float column (a datavector semijoin's fetch) on a
+// warm unbounded pool — per-touch is a TouchAt per position, the loop the
+// gather sites ran before; batched is TouchPositions, which settles the
+// list once per distinct page. Both attribute the same 2^16 touches.
 func BenchmarkPagerConcurrent(b *testing.B) {
+	b.Run("positions/per-touch", func(b *testing.B) {
+		benchPositions(b, func(c bat.Column, p *storage.Tracker, pos []int32) {
+			for _, i := range pos {
+				c.TouchAt(p, int(i))
+			}
+		})
+	})
+	b.Run("positions/batched", func(b *testing.B) {
+		benchPositions(b, func(c bat.Column, p *storage.Tracker, pos []int32) { c.TouchPositions(p, pos) })
+	})
 	const pages = 512 // per-goroutine working set
 	run := func(b *testing.B, goroutines int, sharedHeap bool) {
 		pool := storage.NewPager(4096, 0)
@@ -949,6 +965,26 @@ func BenchmarkPagerConcurrent(b *testing.B) {
 	for _, g := range []int{4, 16} {
 		b.Run(fmt.Sprintf("shared/g%d", g), func(b *testing.B) { run(b, g, true) })
 	}
+}
+
+func benchPositions(b *testing.B, touch func(c bat.Column, p *storage.Tracker, pos []int32)) {
+	const n = 1 << 16
+	col := bat.NewFltCol(make([]float64, n))
+	col.Persist()
+	pos := make([]int32, n)
+	for i, j := range rand.New(rand.NewSource(1)).Perm(n) {
+		pos[i] = int32(j)
+	}
+	pool := storage.NewPager(4096, 0)
+	tr := pool.NewTracker()
+	col.TouchAll(tr) // warm: every op is all hits, as in a warm serving round
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		touch(col, tr, pos)
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(tr.Faults()+tr.Hits()-n/512)/float64(b.N), "touches/op")
 }
 
 // BenchmarkAblationStorage quantifies the out-of-core storage tentpole:

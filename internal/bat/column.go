@@ -23,6 +23,11 @@ type Column interface {
 	Heap() storage.HeapID
 	// TouchAt records a random access to entry i against the pager.
 	TouchAt(p *storage.Tracker, i int)
+	// TouchPositions records random accesses to the entries pos against the
+	// pager: the same touches as TouchAt per position in list order, which
+	// an order-free pool settles once per distinct page (see
+	// storage.Tracker.TouchEntries).
+	TouchPositions(p *storage.Tracker, pos []int32)
 	// TouchRange records a sequential access to entries [i, i+n) against the
 	// pager, accounting one page span instead of n single touches.
 	TouchRange(p *storage.Tracker, i, n int)
@@ -69,6 +74,9 @@ func (c *VoidCol) Heap() storage.HeapID { return 0 }
 // TouchAt implements Column; void columns never fault.
 func (c *VoidCol) TouchAt(p *storage.Tracker, i int) {}
 
+// TouchPositions implements Column; void columns never fault.
+func (c *VoidCol) TouchPositions(p *storage.Tracker, pos []int32) {}
+
 // TouchRange implements Column; void columns never fault.
 func (c *VoidCol) TouchRange(p *storage.Tracker, i, n int) {}
 
@@ -107,6 +115,11 @@ func (c *OIDCol) Heap() storage.HeapID { return c.heap }
 
 // TouchAt implements Column.
 func (c *OIDCol) TouchAt(p *storage.Tracker, i int) { p.Touch(c.heap, int64(c.off+i)*4) }
+
+// TouchPositions implements Column.
+func (c *OIDCol) TouchPositions(p *storage.Tracker, pos []int32) {
+	p.TouchEntries(c.heap, int64(c.off)*4, 4, pos)
+}
 
 // TouchRange implements Column; the span is also forwarded to the mapping
 // hint (WillNeed) when the column is heap-backed.
@@ -152,6 +165,11 @@ func (c *IntCol) Heap() storage.HeapID { return c.heap }
 // TouchAt implements Column; entries are 8 bytes wide, matching ByteSize.
 func (c *IntCol) TouchAt(p *storage.Tracker, i int) { p.Touch(c.heap, int64(c.off+i)*8) }
 
+// TouchPositions implements Column.
+func (c *IntCol) TouchPositions(p *storage.Tracker, pos []int32) {
+	p.TouchEntries(c.heap, int64(c.off)*8, 8, pos)
+}
+
 // TouchRange implements Column; heap-backed columns advise WillNeed.
 func (c *IntCol) TouchRange(p *storage.Tracker, i, n int) {
 	adviseSpan(c.hint, storage.AdviceWillNeed, int64(c.off+i)*8, int64(n)*8)
@@ -193,6 +211,11 @@ func (c *FltCol) Heap() storage.HeapID { return c.heap }
 
 // TouchAt implements Column.
 func (c *FltCol) TouchAt(p *storage.Tracker, i int) { p.Touch(c.heap, int64(c.off+i)*8) }
+
+// TouchPositions implements Column.
+func (c *FltCol) TouchPositions(p *storage.Tracker, pos []int32) {
+	p.TouchEntries(c.heap, int64(c.off)*8, 8, pos)
+}
 
 // TouchRange implements Column; heap-backed columns advise WillNeed.
 func (c *FltCol) TouchRange(p *storage.Tracker, i, n int) {
@@ -236,6 +259,11 @@ func (c *ChrCol) Heap() storage.HeapID { return c.heap }
 // TouchAt implements Column.
 func (c *ChrCol) TouchAt(p *storage.Tracker, i int) { p.Touch(c.heap, int64(c.off+i)) }
 
+// TouchPositions implements Column.
+func (c *ChrCol) TouchPositions(p *storage.Tracker, pos []int32) {
+	p.TouchEntries(c.heap, int64(c.off), 1, pos)
+}
+
 // TouchRange implements Column; heap-backed columns advise WillNeed.
 func (c *ChrCol) TouchRange(p *storage.Tracker, i, n int) {
 	adviseSpan(c.hint, storage.AdviceWillNeed, int64(c.off+i), int64(n))
@@ -278,6 +306,11 @@ func (c *BitCol) Heap() storage.HeapID { return c.heap }
 // TouchAt implements Column.
 func (c *BitCol) TouchAt(p *storage.Tracker, i int) { p.Touch(c.heap, int64(c.off+i)) }
 
+// TouchPositions implements Column.
+func (c *BitCol) TouchPositions(p *storage.Tracker, pos []int32) {
+	p.TouchEntries(c.heap, int64(c.off), 1, pos)
+}
+
 // TouchRange implements Column; heap-backed columns advise WillNeed.
 func (c *BitCol) TouchRange(p *storage.Tracker, i, n int) {
 	adviseSpan(c.hint, storage.AdviceWillNeed, int64(c.off+i), int64(n))
@@ -319,6 +352,11 @@ func (c *DateCol) Heap() storage.HeapID { return c.heap }
 
 // TouchAt implements Column.
 func (c *DateCol) TouchAt(p *storage.Tracker, i int) { p.Touch(c.heap, int64(c.off+i)*4) }
+
+// TouchPositions implements Column.
+func (c *DateCol) TouchPositions(p *storage.Tracker, pos []int32) {
+	p.TouchEntries(c.heap, int64(c.off)*4, 4, pos)
+}
 
 // TouchRange implements Column; heap-backed columns advise WillNeed.
 func (c *DateCol) TouchRange(p *storage.Tracker, i, n int) {
@@ -392,6 +430,24 @@ func (c *StrCol) TouchAt(p *storage.Tracker, i int) {
 	if hi > lo {
 		p.TouchRange(c.charHeap, lo, hi-lo)
 	}
+}
+
+// TouchPositions implements Column. An order-free pool settles the offset
+// entries and the character spans as two per-heap batches; otherwise the
+// offset/characters interleaving of TouchAt is replayed position by
+// position.
+func (c *StrCol) TouchPositions(p *storage.Tracker, pos []int32) {
+	if p == nil {
+		return
+	}
+	if !p.OrderFree() {
+		for _, i := range pos {
+			c.TouchAt(p, int(i))
+		}
+		return
+	}
+	p.TouchEntries(c.heap, int64(c.off)*4, 4, pos)
+	p.TouchSpans(c.charHeap, c.Off, pos)
 }
 
 // TouchRange implements Column; the character span is contiguous because

@@ -91,19 +91,66 @@ func (dv *Datavector) ByteSize() int64 {
 // exists. It is "probedlookup(EXTENT, X)" from the pseudo-code: O(1) for a
 // dense extent, binary search otherwise.
 func (dv *Datavector) Probe(p *storage.Tracker, x OID) (int, bool) {
+	i, hit := dv.search(x)
+	if dv.Extent != nil {
+		p.Touch(dv.extHeap, int64(i)*4)
+	}
+	if !hit {
+		return 0, false
+	}
+	return i, true
+}
+
+// search locates oid x without accounting: its extent position and whether
+// it exists. For an explicit extent a miss returns the insertion point —
+// the entry a probe reads (and Probe touches) to decide the miss.
+func (dv *Datavector) search(x OID) (int, bool) {
 	if dv.Extent == nil {
 		i := int(x) - int(dv.Base)
-		if i < 0 || i >= dv.N {
-			return 0, false
-		}
-		return i, true
+		return i, i >= 0 && i < dv.N
 	}
 	i := sort.Search(len(dv.Extent), func(i int) bool { return dv.Extent[i] >= x })
-	p.Touch(dv.extHeap, int64(i)*4)
-	if i < len(dv.Extent) && dv.Extent[i] == x {
-		return i, true
+	return i, i < len(dv.Extent) && dv.Extent[i] == x
+}
+
+// JoinProbe probes the oids x(0), …, x(n-1) and returns the matching
+// (probe row, extent position) pairs in row order. Its accounting equals a
+// per-row Probe followed, on a hit, by a Vector.TouchAt of the match: a
+// dense extent costs no probe touches, so the vector reads settle as one
+// batch; an explicit extent's probes and vector reads settle as one batch
+// per heap on an order-free pool and replay in their interleaved order
+// otherwise.
+func (dv *Datavector) JoinProbe(p *storage.Tracker, n int, x func(int) OID) (rows, vpos []int32) {
+	rows = make([]int32, 0, n)
+	vpos = make([]int32, 0, n)
+	var probes []int32 // explicit extent: the entry each probe reads
+	if dv.Extent != nil && p != nil {
+		probes = make([]int32, n)
 	}
-	return 0, false
+	for i := 0; i < n; i++ {
+		k, hit := dv.search(x(i))
+		if probes != nil {
+			probes[i] = int32(k)
+		}
+		if hit {
+			rows = append(rows, int32(i))
+			vpos = append(vpos, int32(k))
+		}
+	}
+	if probes == nil || p.OrderFree() {
+		p.TouchEntries(dv.extHeap, 0, 4, probes)
+		dv.Vector.TouchPositions(p, vpos)
+		return rows, vpos
+	}
+	j := 0
+	for i, k := range probes {
+		p.Touch(dv.extHeap, int64(k)*4)
+		if j < len(rows) && rows[j] == int32(i) {
+			dv.Vector.TouchAt(p, int(vpos[j]))
+			j++
+		}
+	}
+	return rows, vpos
 }
 
 // DenseExtent reports whether the extent is the dense sequence

@@ -37,7 +37,7 @@ func (v Vector) Contiguous() bool { return v.Sel == nil }
 
 // Touch attributes the vector's reads of column c to tracker p: one
 // TouchRange span for a contiguous window (the same spans full-column scans
-// report), per-position touches for a selection.
+// report), the selected positions' touches for a selection.
 func (v Vector) Touch(p *storage.Tracker, c Column) {
 	if p == nil {
 		return
@@ -46,8 +46,25 @@ func (v Vector) Touch(p *storage.Tracker, c Column) {
 		c.TouchRange(p, v.Lo, v.Hi-v.Lo)
 		return
 	}
-	for _, i := range v.Sel {
-		c.TouchAt(p, int(i))
+	c.TouchPositions(p, v.Sel)
+}
+
+// TouchPairs attributes a two-column gather — a[apos[k]] beside b[bpos[k]]
+// for every k — to tracker p. An order-free pool settles each column's
+// positions as one batch; otherwise the gather's exact interleaving
+// a, b, a, b, … is replayed.
+func TouchPairs(p *storage.Tracker, a Column, apos []int32, b Column, bpos []int32) {
+	if p == nil {
+		return
+	}
+	if p.OrderFree() {
+		a.TouchPositions(p, apos)
+		b.TouchPositions(p, bpos)
+		return
+	}
+	for k := range apos {
+		a.TouchAt(p, int(apos[k]))
+		b.TouchAt(p, int(bpos[k]))
 	}
 }
 

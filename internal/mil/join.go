@@ -62,18 +62,7 @@ func dvJoin(ctx *Ctx, l, r *bat.BAT) (*bat.BAT, bool) {
 	ctx.chose("datavector-join")
 	p := ctx.pager()
 	l.T.TouchAll(p)
-	n := l.Len()
-	lpos := make([]int32, 0, n)
-	vpos := make([]int32, 0, n)
-	for i := 0; i < n; i++ {
-		if pos, hit := dv.Probe(p, lt(i)); hit {
-			lpos = append(lpos, int32(i))
-			vpos = append(vpos, int32(pos))
-			if p != nil {
-				dv.Vector.TouchAt(p, pos)
-			}
-		}
-	}
+	lpos, vpos := dv.JoinProbe(p, l.Len(), lt)
 	out := bat.New(l.Name+".join", bat.Gather32(l.H, lpos), bat.Gather32(dv.Vector, vpos), 0)
 	if l.Props.Has(bat.HOrdered) {
 		out.Props |= bat.HOrdered
@@ -93,13 +82,7 @@ func dvJoin(ctx *Ctx, l, r *bat.BAT) (*bat.BAT, bool) {
 // only if no left row matched more than one right row, which is guaranteed
 // when the right head is key.
 func joinResult(ctx *Ctx, l, r *bat.BAT, lpos, rpos []int32) *bat.BAT {
-	p := ctx.pager()
-	if p != nil {
-		for i := range lpos {
-			l.H.TouchAt(p, int(lpos[i]))
-			r.T.TouchAt(p, int(rpos[i]))
-		}
-	}
+	bat.TouchPairs(ctx.pager(), l.H, lpos, r.T, rpos)
 	out := bat.New(l.Name+".join", bat.Gather32(l.H, lpos), bat.Gather32(r.T, rpos), 0)
 	if l.Props.Has(bat.HOrdered) {
 		out.Props |= bat.HOrdered

@@ -20,12 +20,9 @@ func gatherPositions[I int | int32](ctx *Ctx, name string, b *bat.BAT, pos []I) 
 	if lo, ok := bat.PositionRun(pos); ok {
 		return gatherRun(ctx, name, b, lo, len(pos))
 	}
-	p := ctx.pager()
-	if p != nil {
-		for _, i := range pos {
-			b.H.TouchAt(p, int(i))
-			b.T.TouchAt(p, int(i))
-		}
+	if p := ctx.pager(); p != nil {
+		pos32 := asInt32(pos)
+		bat.TouchPairs(p, b.H, pos32, b.T, pos32)
 	}
 	out := bat.New(name, bat.GatherAny(b.H, pos), bat.GatherAny(b.T, pos), 0)
 	out.Props |= b.Props & (bat.HOrdered | bat.TOrdered | bat.HKey | bat.TKey)
@@ -33,6 +30,18 @@ func gatherPositions[I int | int32](ctx *Ctx, name string, b *bat.BAT, pos []I) 
 	// is positionally synced with its operand.
 	if len(pos) == b.Len() {
 		out.SyncWith(b)
+	}
+	return out
+}
+
+// asInt32 returns positions as int32, copying only the boxed paths' []int.
+func asInt32[I int | int32](pos []I) []int32 {
+	if p, ok := any(pos).([]int32); ok {
+		return p
+	}
+	out := make([]int32, len(pos))
+	for k, i := range pos {
+		out[k] = int32(i)
 	}
 	return out
 }

@@ -119,11 +119,7 @@ func datavectorSemijoin(ctx *Ctx, l, r *bat.BAT) *bat.BAT {
 			heads[i] = dv.OIDAt(int(pos))
 		}
 	}
-	if p != nil {
-		for _, pos := range lookup {
-			dv.Vector.TouchAt(p, int(pos))
-		}
-	}
+	dv.Vector.TouchPositions(p, lookup)
 	out := bat.New(l.Name+".sel", bat.NewOIDCol(heads), bat.Gather32(dv.Vector, lookup), 0)
 	// Result BUNs follow r's order. If every r element matched, the result
 	// is positionally synced with r (and with any other full-match

@@ -368,12 +368,10 @@ func chaosRun(t *testing.T, seed int64, plan storage.FaultPlan, want []string) {
 		t.Fatalf("conservation broken: pool %d/%d faults/hits, per-query sums %d/%d (ok=%d disrupted=%d internal=%d)",
 			p.Faults(), p.Hits(), faults, hits, ok, disrupted, internal)
 	}
-	if inj != nil {
-		if injected, _ := inj.Injected(); injected == 0 && disrupted == 0 {
-			t.Fatal("chaos plan injected nothing and nothing was disrupted: the run exercised no failure path")
-		}
-		svc.db.Pager.SetFaultInjector(nil)
+	if injected, _ := inj.Injected(); injected == 0 && disrupted == 0 {
+		t.Fatal("nothing was injected or disrupted: the run exercised no failure path")
 	}
+	svc.db.Pager.SetFaultInjector(nil)
 
 	// The server keeps serving: a clean full pass after the storm, on the
 	// same service, still matches the sequential reference.
@@ -403,6 +401,11 @@ func TestCancellationCleanliness(t *testing.T) {
 // TestChaosQueryLifecycle: the full chaos suite over a bounded seed list —
 // cancellations, deadlines, injected storage faults (simulated SIGBUS) and
 // injected latency, all at once, under -race via the CI matrix.
+//
+// An attached injector forces the pool to replay every touch, so each seed
+// also runs without one: cancellations and deadlines only, on the
+// unbounded pool where position lists settle per distinct page. Queries
+// then abort between batched settles, and conservation must still hold.
 func TestChaosQueryLifecycle(t *testing.T) {
 	want := referenceResults(t)
 	for _, seed := range []int64{1, 2, 3} {
@@ -413,6 +416,9 @@ func TestChaosQueryLifecycle(t *testing.T) {
 				DelayEvery: 997,
 				Delay:      100 * time.Microsecond,
 			}, want)
+		})
+		t.Run(fmt.Sprintf("no-injector/seed=%d", seed), func(t *testing.T) {
+			chaosRun(t, seed, storage.FaultPlan{}, want)
 		})
 	}
 }

@@ -4,10 +4,23 @@
 // Monet has no page-based buffer manager of its own: BATs live in memory
 // mapped files and the MMU pages them in on demand. The paper's evaluation
 // (Figures 8, 9 and 10) is stated in terms of page faults, so this package
-// provides the equivalent observable: every heap access performed by the BAT
-// algebra is routed through a Pager, which maintains an LRU pool of fixed
-// size pages and counts the faults that a cold or capacity-limited buffer
-// would incur.
+// provides the equivalent observable: the BAT algebra reports its heap
+// accesses to a Pager, which maintains an LRU pool of fixed size pages and
+// counts the faults that a cold or capacity-limited buffer would incur.
+//
+// Accounting rule. Every access is counted exactly — one touch per entry or
+// per page of a span, the same totals however they are reported — but not
+// every access is replayed one by one:
+//
+//   - On an unbounded pool with no FaultInjector attached, counts do not
+//     depend on touch order: a touch faults exactly when it is the first
+//     touch of its page since DropAll, and every other touch hits. A list
+//     of random accesses (TouchEntries, TouchSpans) is therefore settled
+//     per distinct page — each page goes through the pool once, and the
+//     repeats are credited as hits in one step.
+//   - On a bounded pool (LRU eviction makes order matter) or with an
+//     injector attached (its cadence counts touches), every touch is
+//     replayed through the pool in the caller's order.
 //
 // The pool is lock-striped so that concurrent sessions of the query service
 // can share one Pager — the OS page cache they stand in for is likewise one
@@ -16,7 +29,7 @@
 // aggregates mid-query is race-free without a pool-global counter cache
 // line every touch would contend on). Per-query attribution — "how many faults did THIS query take",
 // the Figure 9/10 observable — is handled by Tracker, a per-query view that
-// forwards every touch to the shared pool and records the outcome locally.
+// reports its touches to the shared pool and records the outcome locally.
 //
 // A nil *Pager (or *Tracker) is valid everywhere and disables accounting,
 // which is the "database hot-set fits in main memory" regime the paper
@@ -24,6 +37,7 @@
 package storage
 
 import (
+	"math/bits"
 	"sync"
 	"sync/atomic"
 )
@@ -63,6 +77,14 @@ type pageNode struct {
 // until every stripe holds at least minStripePages pages. An unbounded pool
 // never evicts, so striping cannot change its fault counts and it always
 // uses maxStripes.
+//
+// minStripePages matters for bounded pools only. They replay every touch
+// in order (unbounded pools settle position lists per distinct page), and
+// their counts are reproducible only while the pool is one exact LRU.
+// Pools under 64 pages stay single-stripe: TestStripeCountAdapts pins it,
+// the golden Figure-9 accounting test relies on it for its bounded pool,
+// and EXPERIMENTS.md's ≤63-page bounded runs (the Figure-10-style
+// cmd/tpcd -poolpages LRU experiments) assume it.
 const (
 	maxStripes     = 64 // power of two: stripe index is a hash mask
 	minStripePages = 32
@@ -100,6 +122,15 @@ type Pager struct {
 	// stripe lock so an injected panic never wedges the pool.
 	injector atomic.Pointer[FaultInjector]
 
+	// pageShift is log2(pageSize) when the page size is a power of two
+	// (the batched settle paths shift instead of divide), else -1.
+	pageShift int
+
+	// settledHits counts the repeat touches that batched settles credit
+	// as hits without a stripe visit (see TouchEntries): one atomic add
+	// per batch. Hits adds it to the stripe counters; ResetStats zeroes it.
+	settledHits atomic.Uint64
+
 	stripes []stripe
 }
 
@@ -135,10 +166,14 @@ func NewPager(pageSize int64, capacity int) *Pager {
 	}
 	n := stripeCount(capacity)
 	p := &Pager{
-		pageSize: pageSize,
-		capacity: capacity,
-		mask:     uint64(n - 1),
-		stripes:  make([]stripe, n),
+		pageSize:  pageSize,
+		capacity:  capacity,
+		mask:      uint64(n - 1),
+		pageShift: -1,
+		stripes:   make([]stripe, n),
+	}
+	if pageSize&(pageSize-1) == 0 {
+		p.pageShift = bits.TrailingZeros64(uint64(pageSize))
 	}
 	for i := range p.stripes {
 		s := &p.stripes[i]
@@ -205,7 +240,7 @@ func (p *Pager) Hits() uint64 {
 	if p == nil {
 		return 0
 	}
-	var n uint64
+	n := p.settledHits.Load()
 	for i := range p.stripes {
 		s := &p.stripes[i]
 		s.mu.Lock()
@@ -227,6 +262,7 @@ func (p *Pager) ResetStats() {
 		s.faults, s.hits = 0, 0
 		s.mu.Unlock()
 	}
+	p.settledHits.Store(0)
 }
 
 // DropAll empties the pool, simulating a cold buffer (e.g. between benchmark
@@ -288,6 +324,12 @@ func (p *Pager) touchKey(k pageKey) bool {
 	if inj := p.injector.Load(); inj != nil {
 		inj.visit(k) // may sleep or panic; no locks held, nothing recorded yet
 	}
+	return p.stripeTouch(k)
+}
+
+// stripeTouch records one touch of page k in its stripe, bypassing the
+// injector, and reports whether it faulted.
+func (p *Pager) stripeTouch(k pageKey) bool {
 	// splitmix-style mix of (heap, page): heaps are small sequential ints
 	// and page runs are sequential, so both need scrambling before masking.
 	x := uint64(k.heap)*0x9E3779B97F4A7C15 + uint64(k.page)
@@ -363,9 +405,12 @@ func (s *stripe) evict() {
 	delete(s.table, n.key)
 }
 
-// Tracker is one query's view of a shared Pager: every touch is forwarded
-// to the shared pool — whose state alone decides hit versus fault — and the
-// outcome is also recorded in the tracker's own counters. This is how the
+// Tracker is one query's view of a shared Pager: every touch is reported to
+// the shared pool — whose state alone decides hit versus fault — and the
+// outcome is also recorded in the tracker's own counters. A batch of random
+// accesses is either replayed touch by touch or, on an unbounded pool with
+// no injector, settled per distinct page (see the package comment and
+// TouchEntries); both attribute the same faults and hits. This is how the
 // per-query Figure 9/10 fault observable survives concurrency: N sessions
 // sharing one pool each read their own faults off their own tracker, instead
 // of differencing the pool's aggregate counter around execution (which
@@ -460,5 +505,156 @@ func (t *Tracker) TouchRange(h HeapID, off, n int64) {
 		} else {
 			hits++
 		}
+	}
+}
+
+// OrderFree reports whether the tracker's touches may be settled in any
+// order: the pool is unbounded (it never evicts, so a touch faults exactly
+// when it is the first touch of its page since DropAll) and no injector
+// counts touches. Callers that interleave several heaps use it to choose
+// between per-heap batches (TouchEntries, TouchSpans) and an exact replay of
+// their touch sequence.
+func (t *Tracker) OrderFree() bool {
+	return t != nil && t.pool.capacity <= 0 && t.pool.injector.Load() == nil
+}
+
+// TouchEntries records random accesses to the fixed-width entries pos of
+// heap h: entry i is touched at byte base+i*width, exactly as a Touch per
+// position in list order would. On an order-free pool the list is settled
+// per distinct page (see settle); otherwise every touch is replayed in
+// order. Accesses to transient storage (heap 0) are ignored.
+func (t *Tracker) TouchEntries(h HeapID, base, width int64, pos []int32) {
+	if t == nil || h == 0 || len(pos) == 0 {
+		return
+	}
+	if !t.OrderFree() {
+		for _, i := range pos {
+			t.Touch(h, base+int64(i)*width)
+		}
+		return
+	}
+	lo, hi := pos[0], pos[0]
+	for _, i := range pos {
+		lo, hi = min(lo, i), max(hi, i)
+	}
+	var buf [pageSetWords]uint64
+	s := t.pool.newPageSet(buf[:], base+int64(lo)*width, base+int64(hi)*width)
+	for _, i := range pos {
+		s.mark(t.pool.pageOf(base + int64(i)*width))
+	}
+	t.settle(h, &s, uint64(len(pos)))
+}
+
+// TouchSpans records reads of the byte spans [bounds[i], bounds[i+1]) of
+// heap h for each i in pos — a string column's character ranges — exactly
+// as a TouchRange per non-empty span in list order would (empty spans touch
+// nothing). Order-free pools settle per distinct page; otherwise every span
+// is replayed in order. Accesses to transient storage (heap 0) are ignored.
+func (t *Tracker) TouchSpans(h HeapID, bounds []uint32, pos []int32) {
+	if t == nil || h == 0 || len(pos) == 0 {
+		return
+	}
+	if !t.OrderFree() {
+		for _, i := range pos {
+			lo, hi := int64(bounds[i]), int64(bounds[i+1])
+			t.TouchRange(h, lo, hi-lo)
+		}
+		return
+	}
+	lo, hi := int64(-1), int64(-1)
+	for _, i := range pos {
+		if a, b := int64(bounds[i]), int64(bounds[i+1]); b > a {
+			if lo < 0 || a < lo {
+				lo = a
+			}
+			hi = max(hi, b-1)
+		}
+	}
+	if lo < 0 {
+		return // every span empty
+	}
+	var buf [pageSetWords]uint64
+	s := t.pool.newPageSet(buf[:], lo, hi)
+	var touches uint64
+	for _, i := range pos {
+		a, b := int64(bounds[i]), int64(bounds[i+1])
+		if b <= a {
+			continue
+		}
+		first, last := t.pool.pageOf(a), t.pool.pageOf(b-1)
+		for pg := first; pg <= last; pg++ {
+			s.mark(pg)
+		}
+		touches += uint64(last - first + 1)
+	}
+	t.settle(h, &s, touches)
+}
+
+// pageSetWords sizes the on-stack bitmap of a batched settle: 64 words
+// cover 4096 pages (16 MiB of 4 KiB pages) without allocating.
+const pageSetWords = 64
+
+// pageSet marks the distinct pages of one batch: a bitmap over the page
+// range [first, first+64·len(bits)).
+type pageSet struct {
+	first int64
+	bits  []uint64
+}
+
+// newPageSet returns an empty set over the pages holding bytes [lo, hi],
+// backed by buf when the range fits.
+func (p *Pager) newPageSet(buf []uint64, lo, hi int64) pageSet {
+	first, last := p.pageOf(lo), p.pageOf(hi)
+	words := int((last-first)/64) + 1
+	if words > len(buf) {
+		buf = make([]uint64, words)
+	}
+	return pageSet{first: first, bits: buf[:words]}
+}
+
+func (s *pageSet) mark(pg int64) {
+	r := uint64(pg - s.first)
+	s.bits[r/64] |= 1 << (r % 64)
+}
+
+// pageOf maps a byte offset to its page number.
+func (p *Pager) pageOf(off int64) int64 {
+	if p.pageShift >= 0 {
+		return off >> p.pageShift
+	}
+	return off / p.pageSize
+}
+
+// settle accounts a batch of touches of heap h whose distinct pages are
+// marked in s. Each distinct page is touched once through its stripe, so
+// the pool decides fault or hit exactly as for the batch's first touch of
+// that page (concurrent first touches race there, as single touches do).
+// On an unbounded pool every later touch of a page is a hit, so the
+// remaining touches−distinct are credited as hits with one atomic add.
+// The stripe path bypasses the injector: OrderFree was decided for the
+// whole batch, and a panic half-way would break Σ(trackers) = pool.
+func (t *Tracker) settle(h HeapID, s *pageSet, touches uint64) {
+	var faults, hits, distinct uint64
+	for w, word := range s.bits {
+		for word != 0 {
+			pg := s.first + int64(w*64+bits.TrailingZeros64(word))
+			word &= word - 1
+			if t.pool.stripeTouch(pageKey{h, pg}) {
+				faults++
+			} else {
+				hits++
+			}
+			distinct++
+		}
+	}
+	repeats := touches - distinct
+	if repeats > 0 {
+		t.pool.settledHits.Add(repeats)
+	}
+	if faults > 0 {
+		t.faults.Add(faults)
+	}
+	if hits+repeats > 0 {
+		t.hits.Add(hits + repeats)
 	}
 }

@@ -471,6 +471,81 @@ func BenchmarkAblationZeroCopyGather(b *testing.B) {
 	})
 }
 
+// BenchmarkAblationMultiplex measures the aligned multiplex of the Figure-9
+// shapes over 120k rows (SF 0.02's Item extent): typed kernels over the
+// backing slices against the boxed row loop that boxes one bat.Value per
+// operand per row and calls Func.Apply. The shapes are Q7's nation match
+// [=](str, const) and its [and], Q12's [<](date, date) and Q9's
+// [strcontains](str, const).
+func BenchmarkAblationMultiplex(b *testing.B) {
+	const n = 120000
+	rng := rand.New(rand.NewSource(41))
+	nations := []string{"FRANCE", "GERMANY", "BRAZIL", "JAPAN", "KENYA"}
+	names := []string{"forest green lace", "dodger navy khaki", "green thistle", "misty rose peru"}
+	strs, parts := make([]string, n), make([]string, n)
+	commit, receipt := make([]int32, n), make([]int32, n)
+	bits := make([]bool, n)
+	for i := 0; i < n; i++ {
+		strs[i] = nations[rng.Intn(len(nations))]
+		parts[i] = names[rng.Intn(len(names))]
+		commit[i] = int32(8800 + rng.Intn(2400))
+		receipt[i] = commit[i] + int32(rng.Intn(60)) - 30
+		bits[i] = rng.Intn(2) == 0
+	}
+	head := bat.NewVoid(0, n)
+	col := func(c bat.Column) *bat.BAT { return bat.New("x", head, c, 0) }
+	nation, part := col(bat.NewStrColFromStrings(strs)), col(bat.NewStrColFromStrings(parts))
+	cd, rd, other := col(bat.NewDateCol(commit)), col(bat.NewDateCol(receipt)), col(bat.NewBitCol(bits))
+	isFrance := mil.Multiplex(nil, "=", []mil.Operand{mil.BATArg(nation), mil.ConstArg(bat.S("FRANCE"))})
+	shapes := []struct {
+		name string
+		fn   string
+		args []mil.Operand
+	}{
+		{"eq(str,const)", "=", []mil.Operand{mil.BATArg(nation), mil.ConstArg(bat.S("FRANCE"))}},
+		{"and(bit,bit)", "and", []mil.Operand{mil.BATArg(isFrance), mil.BATArg(other)}},
+		{"lt(date,date)", "<", []mil.Operand{mil.BATArg(cd), mil.BATArg(rd)}},
+		{"strcontains(str,const)", "strcontains", []mil.Operand{mil.BATArg(part), mil.ConstArg(bat.S("green"))}},
+	}
+	b.Run("boxed", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for _, s := range shapes {
+				boxedMultiplex(s.fn, s.args, n)
+			}
+		}
+	})
+	b.Run("typed", func(b *testing.B) {
+		ctx := &mil.Ctx{}
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for _, s := range shapes {
+				mil.Multiplex(ctx, s.fn, s.args)
+			}
+		}
+	})
+}
+
+// boxedMultiplex is the row-at-a-time multiplex the typed kernels replaced:
+// one boxed Value per operand per row through Func.Apply. Every ablation
+// shape yields bits.
+func boxedMultiplex(fn string, args []mil.Operand, n int) bat.Column {
+	f, _ := mil.LookupFunc(fn)
+	vals := make([]bat.Value, n)
+	buf := make([]bat.Value, len(args))
+	for i := 0; i < n; i++ {
+		for j, a := range args {
+			if a.B != nil {
+				buf[j] = a.B.T.Get(i)
+			} else {
+				buf[j] = *a.Const
+			}
+		}
+		vals[i] = f.Apply(buf)
+	}
+	return bat.FromValues(bat.KBit, vals)
+}
+
 // BenchmarkAblationParallelIteration measures the Section 2 shared-memory
 // parallel iteration primitive on a large scan-select, sequential vs 8
 // workers.

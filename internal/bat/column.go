@@ -672,6 +672,107 @@ func gatherInto[I int | int32](col Column, perm []I) Column {
 	return FromValues(col.Kind(), out)
 }
 
+// GatherConcat builds the column a[pa[0]], …, a[pa[last]], b[pb[0]], …,
+// b[pb[last]] of kind k (void folds into oid, the kind a scattered gather
+// of a void column takes). A side whose kind differs from k converts
+// through boxed values, exactly as FromValues(k, …) would.
+func GatherConcat(k Kind, a Column, pa []int32, b Column, pb []int32) Column {
+	sides := [2]gatherSide{{a, pa}, {b, pb}}
+	n := len(pa) + len(pb)
+	switch k {
+	case KOID:
+		out := make([]OID, 0, n)
+		ok := true
+		for _, s := range sides {
+			switch c := s.col.(type) {
+			case *VoidCol:
+				for _, p := range s.pos {
+					out = append(out, c.Seq+OID(p))
+				}
+			case *OIDCol:
+				out = appendAt(out, c.V, s.pos)
+			default:
+				ok = ok && len(s.pos) == 0
+			}
+		}
+		if ok {
+			return NewOIDCol(out)
+		}
+	case KInt:
+		if out, ok := concatFixed(sides, n, func(c *IntCol) []int64 { return c.V }); ok {
+			return NewIntCol(out)
+		}
+	case KFlt:
+		if out, ok := concatFixed(sides, n, func(c *FltCol) []float64 { return c.V }); ok {
+			return NewFltCol(out)
+		}
+	case KChr:
+		if out, ok := concatFixed(sides, n, func(c *ChrCol) []byte { return c.V }); ok {
+			return NewChrCol(out)
+		}
+	case KBit:
+		if out, ok := concatFixed(sides, n, func(c *BitCol) []bool { return c.V }); ok {
+			return NewBitCol(out)
+		}
+	case KDate:
+		if out, ok := concatFixed(sides, n, func(c *DateCol) []int32 { return c.V }); ok {
+			return NewDateCol(out)
+		}
+	case KStr:
+		out := make([]string, 0, n)
+		ok := true
+		for _, s := range sides {
+			if c, isStr := s.col.(*StrCol); isStr {
+				for _, p := range s.pos {
+					out = append(out, c.At(int(p)))
+				}
+			} else {
+				ok = ok && len(s.pos) == 0
+			}
+		}
+		if ok {
+			return NewStrColFromStrings(out)
+		}
+	}
+	vals := make([]Value, 0, n)
+	for _, s := range sides {
+		for _, p := range s.pos {
+			vals = append(vals, s.col.Get(int(p)))
+		}
+	}
+	return FromValues(k, vals)
+}
+
+// gatherSide is one operand of GatherConcat.
+type gatherSide struct {
+	col Column
+	pos []int32
+}
+
+// concatFixed gathers both sides of a fixed-width kind through backing,
+// reporting false when a non-empty side is not a C column.
+func concatFixed[E any, C Column](sides [2]gatherSide, n int, backing func(C) []E) ([]E, bool) {
+	out := make([]E, 0, n)
+	for _, s := range sides {
+		if len(s.pos) == 0 {
+			continue
+		}
+		c, ok := s.col.(C)
+		if !ok {
+			return nil, false
+		}
+		out = appendAt(out, backing(c), s.pos)
+	}
+	return out, true
+}
+
+func appendAt[E any](dst, v []E, pos []int32) []E {
+	for _, p := range pos {
+		dst = append(dst, v[p])
+	}
+	return dst
+}
+
 // OwnedBytes implementations: a view shares its operand's backing, so it
 // owns nothing; every materialized column owns its full ByteSize. Void
 // columns occupy no storage either way.

@@ -211,11 +211,13 @@ func (k KeyRep) Verifier() KeyEq {
 	return k
 }
 
-// PairEq verifies composite (A,B) keys row against row.
+// PairEq verifies composite (A,B) keys row against row. Only *PairEq
+// implements KeyEq, so a verifier is built once per operator (&PairEq{…})
+// rather than boxed into the interface on every Grouper.Slot call.
 type PairEq struct{ A, B KeyRep }
 
 // KeyEqual implements KeyEq.
-func (p PairEq) KeyEqual(a, b int32) bool {
+func (p *PairEq) KeyEqual(a, b int32) bool {
 	return p.A.KeyEqual(a, b) && p.B.KeyEqual(a, b)
 }
 
@@ -250,7 +252,11 @@ func crossEq(a, b Column) func(i, j int32) bool {
 // coincide with the group oids the boxed implementations produced.
 
 // Grouper assigns dense slot ids to distinct key reps via an open hash table
-// with bucket+link chaining over the discovered slots.
+// with bucket+link chaining over the discovered slots. The table is sized to
+// the groups found so far, not to the rows scanned: it starts small and
+// doubles its bucket array once slots outnumber buckets, rehashing from the
+// stored reps. Slot ids depend only on first-occurrence order, so growth
+// never renumbers a group.
 type Grouper struct {
 	bucket []int32 // slot chain heads per hash bucket, -1 empty
 	mask   uint32
@@ -259,18 +265,19 @@ type Grouper struct {
 	link   []int32  // next slot in bucket chain
 }
 
-// NewGrouper returns a Grouper sized for up to hint distinct keys.
+// grouperInitBuckets caps a Grouper's initial bucket array: grouped
+// aggregates over many rows usually find few groups, and growth is
+// amortized O(1) per slot when they do not.
+const grouperInitBuckets = 64
+
+// NewGrouper returns a Grouper for at most hint distinct keys (callers pass
+// the row count, an upper bound). The table starts at min(hint, 64)
+// buckets and grows with the slots actually handed out.
 func NewGrouper(hint int) *Grouper {
-	if hint < 1 {
-		hint = 1
-	}
-	sz := nextPow2(hint)
+	sz := nextPow2(min(max(hint, 1), grouperInitBuckets))
 	g := &Grouper{
 		bucket: make([]int32, sz),
 		mask:   uint32(sz - 1),
-		rep:    make([]uint64, 0, hint),
-		rows:   make([]int32, 0, hint),
-		link:   make([]int32, 0, hint),
 	}
 	for i := range g.bucket {
 		g.bucket[i] = -1
@@ -287,7 +294,8 @@ func (g *Grouper) Rows() []int32 { return g.rows }
 // Slot returns the slot of the key with representation rep occurring at row,
 // creating it if new (second result). eq settles rep collisions; it must be
 // non-nil whenever rep equality does not imply key equality (inexact reps
-// and all composite Mix keys).
+// and all composite Mix keys). Pass eq as an interface value converted once
+// outside the row loop: converting a struct per call allocates.
 func (g *Grouper) Slot(rep uint64, row int32, eq KeyEq) (int32, bool) {
 	h := fibHash(rep) & g.mask
 	for s := g.bucket[h]; s >= 0; s = g.link[s] {
@@ -300,7 +308,86 @@ func (g *Grouper) Slot(rep uint64, row int32, eq KeyEq) (int32, bool) {
 	g.rows = append(g.rows, row)
 	g.link = append(g.link, g.bucket[h])
 	g.bucket[h] = s
+	if len(g.rows) > len(g.bucket) {
+		g.grow()
+	}
 	return s, true
+}
+
+// grow doubles the bucket array and relinks every slot from its stored rep.
+// Chains are rebuilt in ascending slot order; a chain's order only affects
+// probe length, never which slot a key resolves to.
+func (g *Grouper) grow() {
+	sz := 2 * len(g.bucket)
+	g.bucket = make([]int32, sz)
+	g.mask = uint32(sz - 1)
+	for i := range g.bucket {
+		g.bucket[i] = -1
+	}
+	for s, r := range g.rep {
+		h := fibHash(r) & g.mask
+		g.link[s] = g.bucket[h]
+		g.bucket[h] = int32(s)
+	}
+}
+
+// UnionFirstRows returns the rows of a, then of b, whose value has not
+// occurred earlier in a followed by b: the first occurrences of each
+// distinct key over the concatenation, under the same map-key semantics as
+// the boxed Values (void and oid share a key space; values of other
+// different kinds never match).
+func UnionFirstRows(a, b Column) (pa, pb []int32) {
+	ra, okA := NewKeyRep(a)
+	rb, okB := NewKeyRep(b)
+	if !okA || !okB {
+		panic("bat: union over a column without a key representation")
+	}
+	na := int32(a.Len())
+	var eq KeyEq
+	if !ra.Exact || !rb.Exact || normKind(a.Kind()) != normKind(b.Kind()) {
+		eq = &unionEq{a: a, b: b, na: na}
+	}
+	g := NewGrouper(a.Len() + b.Len())
+	for i := int32(0); i < na; i++ {
+		if _, fresh := g.Slot(ra.Rep[i], i, eq); fresh {
+			pa = append(pa, i)
+		}
+	}
+	for j := int32(0); j < int32(b.Len()); j++ {
+		if _, fresh := g.Slot(rb.Rep[j], na+j, eq); fresh {
+			pb = append(pb, j)
+		}
+	}
+	return pa, pb
+}
+
+// unionEq verifies key equality of two rows of the concatenation a ++ b.
+// Rows of different kinds compare unequal through the boxed fallback.
+type unionEq struct {
+	a, b Column
+	na   int32
+}
+
+// KeyEqual implements KeyEq.
+func (u *unionEq) KeyEqual(x, y int32) bool {
+	cx, cy := u.a, u.a
+	if x >= u.na {
+		cx, x = u.b, x-u.na
+	}
+	if y >= u.na {
+		cy, y = u.b, y-u.na
+	}
+	switch ca := cx.(type) {
+	case *FltCol:
+		if cb, ok := cy.(*FltCol); ok {
+			return ca.V[x] == cb.V[y]
+		}
+	case *StrCol:
+		if cb, ok := cy.(*StrCol); ok {
+			return ca.At(int(x)) == cb.At(int(y))
+		}
+	}
+	return cx.Get(int(x)) == cy.Get(int(y))
 }
 
 // ---------------------------------------------------------------------------

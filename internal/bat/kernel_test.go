@@ -223,6 +223,91 @@ func TestGrouperFirstOccurrenceOrder(t *testing.T) {
 	}
 }
 
+// moduloEq verifies keys stored beside reps that collide on purpose.
+type moduloEq []int64
+
+func (m moduloEq) KeyEqual(a, b int32) bool { return m[a] == m[b] }
+
+// checkGrouperSlots runs a Grouper over rep and requires the slots a boxed
+// map of keys assigns in first-occurrence order.
+func checkGrouperSlots(t *testing.T, name string, rep []uint64, eq KeyEq, key func(i int) Value) {
+	t.Helper()
+	g := NewGrouper(len(rep))
+	ids := make(map[Value]int32)
+	for i := range rep {
+		s, fresh := g.Slot(rep[i], int32(i), eq)
+		want, seen := ids[key(i)]
+		if !seen {
+			want = int32(len(ids))
+			ids[key(i)] = want
+		}
+		if s != want || fresh == seen {
+			t.Fatalf("%s: row %d got slot %d (fresh %v), want %d (fresh %v)", name, i, s, fresh, want, !seen)
+		}
+	}
+	if g.Len() != len(ids) {
+		t.Fatalf("%s: %d slots, want %d", name, g.Len(), len(ids))
+	}
+}
+
+// TestGrouperGrowthKeepsSlots: the table starts small and doubles many times
+// over; slot ids must stay the first-occurrence numbering throughout — over
+// more than a million distinct keys, over reps that collide by construction
+// (chains rehashed on every growth), and over inexact float and string keys
+// (NaN never equal, -0 equal to +0).
+func TestGrouperGrowthKeepsSlots(t *testing.T) {
+	if g := NewGrouper(1 << 22); len(g.bucket) > grouperInitBuckets {
+		t.Fatalf("grouper for 4M rows starts with %d buckets", len(g.bucket))
+	}
+	rng := rand.New(rand.NewSource(29))
+
+	const distinct = 1<<20 + 4096
+	ints := make([]int64, distinct+distinct/4)
+	for i := range ints {
+		if i < distinct {
+			ints[i] = int64(i)*7919 - 1<<30
+		} else {
+			ints[i] = ints[rng.Intn(distinct)]
+		}
+	}
+	rng.Shuffle(len(ints), func(i, j int) { ints[i], ints[j] = ints[j], ints[i] })
+	kr, _ := NewKeyRep(NewIntCol(ints))
+	checkGrouperSlots(t, "1M distinct", kr.Rep, kr.Verifier(), func(i int) Value { return I(ints[i]) })
+
+	collide := make([]uint64, 20000)
+	keys := make(moduloEq, len(collide))
+	for i := range keys {
+		keys[i] = int64(rng.Intn(5000))
+		collide[i] = uint64(keys[i] % 61)
+	}
+	checkGrouperSlots(t, "colliding reps", collide, keys, func(i int) Value { return I(keys[i]) })
+
+	flts := make([]float64, 50000)
+	for i := range flts {
+		switch rng.Intn(10) {
+		case 0:
+			flts[i] = math.NaN()
+		case 1:
+			flts[i] = math.Copysign(0, -1)
+		case 2:
+			flts[i] = 0
+		default:
+			flts[i] = float64(rng.Intn(20000)) / 8
+		}
+	}
+	fc := NewFltCol(flts)
+	fr, _ := NewKeyRep(fc)
+	checkGrouperSlots(t, "flt keys", fr.Rep, fr.Verifier(), fc.Get)
+
+	strs := make([]string, 50000)
+	for i := range strs {
+		strs[i] = fmt.Sprintf("key-%d", rng.Intn(30000))
+	}
+	sc := SliceView(NewStrColFromStrings(append([]string{"pad", "pad"}, strs...)), 2, len(strs))
+	sr, _ := NewKeyRep(sc)
+	checkGrouperSlots(t, "str keys", sr.Rep, sr.Verifier(), sc.Get)
+}
+
 // TestMergeJoinPositionsParity: the typed merge kernel equals a boxed
 // nested-loop reference on sorted inputs for every orderable kind.
 func TestMergeJoinPositionsParity(t *testing.T) {

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
@@ -110,5 +111,30 @@ func TestRepeatedQueriesAreIsolated(t *testing.T) {
 			// generated variable names end in _<n>; none may leak
 			t.Fatalf("intermediate %q leaked into base env", name)
 		}
+	}
+}
+
+// TestIfPromotesIntBranchToFlt: if(c, flt, int) is typed flt (moa.Check), so
+// a row taking the int branch must not decide the result column's kind. With
+// the int literal 0 as the else branch the Q14-style promo revenue must
+// equal the 0.0 spelling; deriving the kind from row 0 read every float
+// back as 0 whenever the first shipped item was not a promo part.
+func TestIfPromotesIntBranchToFlt(t *testing.T) {
+	env, _ := tpcd.Load(tpcd.Generate(0.005, 42))
+	db := New(tpcd.Schema(), env)
+	const q = `sum(project[pr](project[<if(strstarts(part.type, "PROMO"), *(extendedprice, -(1.0, discount)), %s) : pr>](select[>=(shipdate, date("1995-09-01")), <(shipdate, date("1995-10-01"))](Item))))`
+	var got [2]string
+	for i, zero := range []string{"0", "0.0"} {
+		res, err := db.Query(fmt.Sprintf(q, zero))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got[i] = moa.RenderVal(res.Set)
+	}
+	if got[0] != got[1] {
+		t.Fatalf("if(…, 0) sums to %s, if(…, 0.0) to %s", got[0], got[1])
+	}
+	if got[1] == "0" {
+		t.Fatal("no promo revenue at this scale: the check proves nothing")
 	}
 }

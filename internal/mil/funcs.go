@@ -21,7 +21,9 @@ var funcs = map[string]*Func{}
 
 // RegisterFunc adds a scalar function to the multiplex registry; it is the
 // Go analogue of Monet's run-time operator extensibility (Section 2,
-// "algebra commands and operators can be added").
+// "algebra commands and operators can be added"). The aligned multiplex
+// selects its typed kernels and result kinds by the built-in names, so a
+// new function needs a new name.
 func RegisterFunc(f *Func) { funcs[f.Name] = f }
 
 // LookupFunc finds a registered scalar function.
@@ -40,7 +42,7 @@ func numeric2(name string, fi func(a, b int64) int64, ff func(a, b float64) floa
 	}}
 }
 
-func cmp(name string, ok func(c int) bool) *Func {
+func comparison(name string, ok func(c int) bool) *Func {
 	return &Func{Name: name, Arity: 2, Apply: func(a []bat.Value) bat.Value {
 		return bat.B(ok(bat.Compare(a[0], a[1])))
 	}}
@@ -57,12 +59,12 @@ func init() {
 		}
 		return bat.F(a[0].AsFloat() / d)
 	}})
-	RegisterFunc(cmp("=", func(c int) bool { return c == 0 }))
-	RegisterFunc(cmp("!=", func(c int) bool { return c != 0 }))
-	RegisterFunc(cmp("<", func(c int) bool { return c < 0 }))
-	RegisterFunc(cmp("<=", func(c int) bool { return c <= 0 }))
-	RegisterFunc(cmp(">", func(c int) bool { return c > 0 }))
-	RegisterFunc(cmp(">=", func(c int) bool { return c >= 0 }))
+	RegisterFunc(comparison("=", func(c int) bool { return c == 0 }))
+	RegisterFunc(comparison("!=", func(c int) bool { return c != 0 }))
+	RegisterFunc(comparison("<", func(c int) bool { return c < 0 }))
+	RegisterFunc(comparison("<=", func(c int) bool { return c <= 0 }))
+	RegisterFunc(comparison(">", func(c int) bool { return c > 0 }))
+	RegisterFunc(comparison(">=", func(c int) bool { return c >= 0 }))
 	RegisterFunc(&Func{Name: "and", Arity: -1, Apply: func(a []bat.Value) bat.Value {
 		for _, v := range a {
 			if !v.Bool() {

@@ -20,7 +20,7 @@ func Unique(ctx *Ctx, b *bat.BAT) *bat.BAT {
 	if !ok1 || !ok2 {
 		return uniqueBoxed(ctx, b)
 	}
-	eq := bat.PairEq{A: hr, B: tr} // Mix keys always need verifying
+	eq := &bat.PairEq{A: hr, B: tr} // Mix keys always need verifying
 	if k > 1 {
 		// Partitioned dedup: the first-occurrence rows of the partitioned
 		// grouping (ascending by construction) are exactly the BUNs a
@@ -145,7 +145,7 @@ func GroupBinary(ctx *Ctx, g, b *bat.BAT) *bat.BAT {
 	gr, ok1 := bat.NewKeyRepP(g.T, k)
 	br, ok2 := bat.NewKeyRepP(b.T, k)
 	if bat.Synced(g, b) && ok1 && ok2 {
-		eq := bat.PairEq{A: gr, B: br}
+		eq := &bat.PairEq{A: gr, B: br}
 		if k > 1 {
 			gs := bat.BuildGroupSlotsPartitionedSched(mixedReps(ctx, gr, br, n), eq, ctx.sched(n))
 			slotsToOIDs(ctx, gs.Slots, out)

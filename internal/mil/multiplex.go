@@ -27,8 +27,12 @@ func ConstArg(v bat.Value) Operand { return Operand{Const: &v} }
 // When all BAT operands are positionally synced (the common case: they all
 // stem from semijoins with the same candidate set, cf. the Fig. 10
 // discussion of synced prices/discount), the natural join on heads
-// degenerates to an aligned scan. Otherwise operands are matched on head
-// value via hash lookup.
+// degenerates to an aligned scan, which runs typed loops over the operands'
+// backing slices for the built-in functions (see multiplexAligned).
+// Otherwise operands are matched on head value via hash lookup and f is
+// applied row at a time. Either way the result kind follows from the
+// operand kinds by moa.Check's typing rules, never from the value a row
+// happens to produce.
 func Multiplex(ctx *Ctx, fn string, args []Operand) *bat.BAT {
 	f, ok := LookupFunc(fn)
 	if !ok {
@@ -64,6 +68,21 @@ func Multiplex(ctx *Ctx, fn string, args []Operand) *bat.BAT {
 	return multiplexHash(ctx, f, first, args)
 }
 
+// multiplexAligned evaluates [f] over positionally synced operands. The
+// built-in functions run typed loops over the backing slices — one
+// interpretation step per column, none per row (multiplex_kernels.go):
+//
+//   - = != < <= > >= over two operands of one kind (int, flt, date, oid or
+//     void, chr, str) or over mixed int/flt;
+//   - and, or, not over bits; if with a bit condition and branches of one
+//     kind or of mixed int/flt;
+//   - strstarts, strcontains, strends over strings; year, month over dates;
+//   - flt, int and + - * / over int and flt.
+//
+// Every other combination — adddays, addmonths, length, neg, snd, cross-kind
+// comparisons, and functions registered beside the built-ins — falls back
+// to the boxed row loop through f.Apply. Both paths give the result
+// the kind resultKind derives from the operand kinds.
 func multiplexAligned(ctx *Ctx, f *Func, first *bat.BAT, args []Operand) *bat.BAT {
 	ctx.chose("aligned-multiplex")
 	p := ctx.pager()
@@ -73,50 +92,93 @@ func multiplexAligned(ctx *Ctx, f *Func, first *bat.BAT, args []Operand) *bat.BA
 		}
 	}
 	n := first.Len()
-
-	if out := multiplexFltFast(f.Name, first, args, n); out != nil {
-		return out
+	kind, ruled := resultKind(f, args)
+	var col bat.Column
+	if ruled {
+		col = typedMultiplex(ctx, f.Name, args, n)
 	}
-
-	vals := make([]bat.Value, n)
-	parallelFill(ctx, n, func(from, to int) {
-		buf := make([]bat.Value, len(args))
-		for i := from; i < to; i++ {
-			for j, a := range args {
-				if a.B != nil {
-					buf[j] = a.B.T.Get(i)
-				} else {
-					buf[j] = *a.Const
+	if col == nil {
+		vals := make([]bat.Value, n)
+		parallelFill(ctx, n, func(from, to int) {
+			buf := make([]bat.Value, len(args))
+			for i := from; i < to; i++ {
+				for j, a := range args {
+					if a.B != nil {
+						buf[j] = a.B.T.Get(i)
+					} else {
+						buf[j] = *a.Const
+					}
 				}
+				vals[i] = f.Apply(buf)
 			}
-			vals[i] = f.Apply(buf)
-		}
-	})
-	kind := bat.KBit
-	if n > 0 {
-		kind = vals[0].K
-	} else {
-		kind = multiplexZeroKind(f, args)
+		})
+		col = bat.FromValues(boxedKind(kind, ruled, vals, args), vals)
 	}
-	out := bat.New("["+f.Name+"]", first.H, bat.FromValues(kind, vals),
-		first.Props&(bat.HOrdered|bat.HKey))
+	out := bat.New("["+f.Name+"]", first.H, col, first.Props&(bat.HOrdered|bat.HKey))
 	out.SyncWith(first)
 	return out
 }
 
-// multiplexZeroKind guesses a result kind for empty inputs so that the BAT
-// still carries a sensible type.
-func multiplexZeroKind(f *Func, args []Operand) bat.Kind {
+// operandKind is the kind f.Apply sees for a: a constant's own kind, a
+// column's kind with void folded into oid (void entries box as oids).
+func operandKind(a Operand) bat.Kind {
+	if a.Const != nil {
+		return a.Const.K
+	}
+	return normValKind(a.B.T.Kind())
+}
+
+// resultKind types [f] from its operand kinds by moa.Check's rules
+// (scalarResultType), which every built-in Apply honours: comparisons and
+// connectives yield bit; + - * yield int over two ints and flt otherwise;
+// if yields its branches' kind, promoting mixed int/flt to flt. ok is false
+// for if over other mixed branches and for functions registered beside the
+// built-ins, which have no static rule.
+func resultKind(f *Func, args []Operand) (bat.Kind, bool) {
 	switch f.Name {
 	case "=", "!=", "<", "<=", ">", ">=", "and", "or", "not",
 		"strstarts", "strcontains", "strends":
-		return bat.KBit
+		return bat.KBit, true
+	case "+", "-", "*":
+		if operandKind(args[0]) == bat.KInt && operandKind(args[1]) == bat.KInt {
+			return bat.KInt, true
+		}
+		return bat.KFlt, true
+	case "neg":
+		if operandKind(args[0]) == bat.KInt {
+			return bat.KInt, true
+		}
+		return bat.KFlt, true
 	case "/", "flt":
-		return bat.KFlt
+		return bat.KFlt, true
 	case "year", "month", "length", "int":
-		return bat.KInt
+		return bat.KInt, true
 	case "adddays", "addmonths":
-		return bat.KDate
+		return bat.KDate, true
+	case "snd":
+		return operandKind(args[1]), true
+	case "if":
+		k1, k2 := operandKind(args[1]), operandKind(args[2])
+		switch {
+		case k1 == k2:
+			return k1, true
+		case isNumKind(k1) && isNumKind(k2):
+			return bat.KFlt, true
+		}
+	}
+	return 0, false
+}
+
+func isNumKind(k bat.Kind) bool { return k == bat.KInt || k == bat.KFlt }
+
+// boxedKind is the column kind of a boxed result: the static rule when there
+// is one, else row 0's kind, else (no rows) the first BAT operand's kind.
+func boxedKind(kind bat.Kind, ruled bool, vals []bat.Value, args []Operand) bat.Kind {
+	switch {
+	case ruled:
+		return kind
+	case len(vals) > 0:
+		return vals[0].K
 	}
 	for _, a := range args {
 		if a.B != nil {
@@ -124,78 +186,6 @@ func multiplexZeroKind(f *Func, args []Operand) bat.Kind {
 		}
 	}
 	return bat.KInt
-}
-
-// multiplexFltFast handles the hot arithmetic shapes of the TPC-D queries
-// ([*] and [-] over float columns, possibly with one constant) without
-// boxing.
-func multiplexFltFast(fn string, first *bat.BAT, args []Operand, n int) *bat.BAT {
-	if len(args) != 2 {
-		return nil
-	}
-	colOf := func(a Operand) ([]float64, bool) {
-		if a.B == nil {
-			return nil, false
-		}
-		c, ok := a.B.T.(*bat.FltCol)
-		if !ok {
-			return nil, false
-		}
-		return c.V, true
-	}
-	constOf := func(a Operand) (float64, bool) {
-		if a.Const == nil || !a.Const.IsNumeric() {
-			return 0, false
-		}
-		return a.Const.AsFloat(), true
-	}
-	var apply func(x, y float64) float64
-	switch fn {
-	case "+":
-		apply = func(x, y float64) float64 { return x + y }
-	case "-":
-		apply = func(x, y float64) float64 { return x - y }
-	case "*":
-		apply = func(x, y float64) float64 { return x * y }
-	default:
-		return nil
-	}
-	out := make([]float64, n)
-	switch {
-	case args[0].B != nil && args[1].B != nil:
-		x, ok1 := colOf(args[0])
-		y, ok2 := colOf(args[1])
-		if !ok1 || !ok2 {
-			return nil
-		}
-		for i := 0; i < n; i++ {
-			out[i] = apply(x[i], y[i])
-		}
-	case args[0].Const != nil && args[1].B != nil:
-		c, ok1 := constOf(args[0])
-		y, ok2 := colOf(args[1])
-		if !ok1 || !ok2 {
-			return nil
-		}
-		for i := 0; i < n; i++ {
-			out[i] = apply(c, y[i])
-		}
-	case args[0].B != nil && args[1].Const != nil:
-		x, ok1 := colOf(args[0])
-		c, ok2 := constOf(args[1])
-		if !ok1 || !ok2 {
-			return nil
-		}
-		for i := 0; i < n; i++ {
-			out[i] = apply(x[i], c)
-		}
-	default:
-		return nil
-	}
-	res := bat.New("["+fn+"]", first.H, bat.NewFltCol(out),
-		first.Props&(bat.HOrdered|bat.HKey))
-	res.SyncWith(first)
-	return res
 }
 
 func multiplexHash(ctx *Ctx, f *Func, first *bat.BAT, args []Operand) *bat.BAT {
@@ -249,12 +239,9 @@ outer:
 		heads = append(heads, h)
 		vals = append(vals, f.Apply(buf))
 	}
-	kind := multiplexZeroKind(f, args)
-	if len(vals) > 0 {
-		kind = vals[0].K
-	}
+	kind, ruled := resultKind(f, args)
 	out := bat.New("["+f.Name+"]", bat.FromValues(first.H.Kind(), heads),
-		bat.FromValues(kind, vals), 0)
+		bat.FromValues(boxedKind(kind, ruled, vals, args), vals), 0)
 	if first.Props.Has(bat.HOrdered) {
 		out.Props |= bat.HOrdered
 	}

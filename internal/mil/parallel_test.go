@@ -66,7 +66,7 @@ func TestParallelMultiplexMatchesSequential(t *testing.T) {
 		a[i] = rng.Float64() * 100
 		c[i] = rng.Float64()
 	}
-	// use strings to force the boxed (non-fast-path) loop
+	// strings take the typed string kernel, split into morsels
 	strs := make([]string, n)
 	for i := range strs {
 		if rng.Intn(2) == 0 {

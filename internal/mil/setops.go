@@ -12,7 +12,10 @@ import (
 
 // Union implements set union on identified value sets: all BUNs of a, plus
 // the BUNs of b whose head does not occur in a. Duplicate heads within b
-// itself are also collapsed (identifiers are unique within a set).
+// itself are also collapsed (identifiers are unique within a set). The heads
+// are deduplicated on their key reps through the Grouper, keeping first
+// occurrences from a then b, and both columns are gathered at the kept
+// positions.
 func Union(ctx *Ctx, a, b *bat.BAT) *bat.BAT {
 	ctx.chose("hash-union")
 	p := ctx.pager()
@@ -20,34 +23,14 @@ func Union(ctx *Ctx, a, b *bat.BAT) *bat.BAT {
 	a.T.TouchAll(p)
 	b.H.TouchAll(p)
 	b.T.TouchAll(p)
-	seen := make(map[bat.Value]struct{}, a.Len()+b.Len())
-	heads := make([]bat.Value, 0, a.Len()+b.Len())
-	tails := make([]bat.Value, 0, a.Len()+b.Len())
-	add := func(x *bat.BAT) {
-		for i := 0; i < x.Len(); i++ {
-			h := x.H.Get(i)
-			if _, ok := seen[h]; ok {
-				continue
-			}
-			seen[h] = struct{}{}
-			heads = append(heads, h)
-			tails = append(tails, x.T.Get(i))
-		}
-	}
-	add(a)
-	add(b)
+	pa, pb := bat.UnionFirstRows(a.H, b.H)
 	hk := a.H.Kind()
 	tk := a.T.Kind()
 	if a.Len() == 0 {
 		hk, tk = b.H.Kind(), b.T.Kind()
 	}
-	if hk == bat.KVoid {
-		hk = bat.KOID
-	}
-	if tk == bat.KVoid {
-		tk = bat.KOID
-	}
-	return bat.New(a.Name+".union", bat.FromValues(hk, heads), bat.FromValues(tk, tails), bat.HKey)
+	return bat.New(a.Name+".union", bat.GatherConcat(normValKind(hk), a.H, pa, b.H, pb),
+		bat.GatherConcat(normValKind(tk), a.T, pa, b.T, pb), bat.HKey)
 }
 
 // Diff implements set difference on identified value sets: the BUNs of a
